@@ -1,5 +1,6 @@
 // Example: fault-simulate the published march tests against the
-// reconstructed fault lists — the calibration experiment of DESIGN.md.
+// reconstructed fault lists — the calibration experiment of README.md,
+// "Substitutions".
 //
 // Usage: coverage_report [memory_size]
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <set>
 
@@ -18,12 +19,12 @@ namespace mtg {
 namespace {
 
 /// The greedy loop of Figure 5: append the best-scoring valid SO until the
-/// engine's fault set is covered or no candidate helps.  Candidate gains are
-/// evaluated in parallel on `workers` (candidates are independent; each
-/// candidate's gain reduces by sum over its instance blocks); the reduction
-/// runs sequentially in pool order, so the selected element — and hence the
-/// generated test — is identical for every thread count.  Returns the fault
-/// indices reported uncoverable (step d.i).
+/// engine's fault set is covered or no candidate helps.  Every eligible
+/// candidate's gain is computed exactly, batch_width() candidates per lane
+/// word, with the batches spread over `workers`; the reduction runs
+/// sequentially in pool order, so the selected element — and hence the
+/// generated test — is identical for every thread count and batching.
+/// Returns the fault indices reported uncoverable (step d.i).
 std::set<std::size_t> greedy_cover(PrefixEngine& engine,
                                    const std::vector<MarchElement>& pool,
                                    MarchTest& test,
@@ -61,34 +62,48 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
       eligible.push_back(c);
     }
 
-    // The total undetected (instance, scenario) count is the same for every
-    // candidate of the scan: compute the O(items × blocks) rescan once per
-    // round instead of once per gain() call.
-    const std::size_t undetected_before = engine.undetected_scenarios();
+    // Batches: up to batch_width() eligible candidates of one sweep
+    // direction, in pool order (a batch mixing ⇑ and ⇓ would replay its
+    // element program once per sweep group).  batched[] lists eligible
+    // positions batch after batch; batch b is batched[starts[b],
+    // starts[b + 1]).
+    const std::size_t width = engine.batch_width();
+    std::vector<std::size_t> batched;
+    std::vector<std::size_t> starts;
+    batched.reserve(eligible.size());
+    for (const bool down : {false, true}) {
+      const std::size_t first = batched.size();
+      for (std::size_t i = 0; i < eligible.size(); ++i) {
+        if ((pool[eligible[i]].order() == AddressOrder::Down) == down) {
+          batched.push_back(i);
+        }
+      }
+      for (std::size_t b = first; b < batched.size(); b += width) {
+        starts.push_back(b);
+      }
+    }
+    starts.push_back(batched.size());
 
-    // Parallel gain scan.  Each worker prunes against its own running best
-    // score — a lower bound of the global maximum, so pruning only abandons
-    // candidates that cannot win.  The bound is compared strictly: a
-    // candidate whose exact score ties the eventual winner is never aborted
-    // (its upper bound so_far + remaining never drops *below* its exact
-    // gain), so every candidate that can win the score/gain/cost tie-breaks
-    // reports its exact gain and the reduction below is schedule-invariant.
+    // Parallel gain scan.  Every gain is exact, so the scores the reduction
+    // below compares do not depend on how batches meet worker threads.
     std::vector<std::size_t> gains(eligible.size(), 0);
-    std::vector<double> local_best(workers.num_workers() + 1, 0.0);
     workers.parallel_for(
-        eligible.size(), /*chunk=*/8,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          double& bound = local_best[worker];
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t c = eligible[i];
-            const double cost = static_cast<double>(pool[c].cost());
-            gains[i] = engine.gain(
-                pool[c], pool_traces[c], undetected_before,
-                [&](std::size_t so_far, std::size_t remaining) {
-                  return static_cast<double>(so_far + remaining) / cost <
-                         bound;
-                });
-            bound = std::max(bound, static_cast<double>(gains[i]) / cost);
+        starts.size() - 1, /*chunk=*/1,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::vector<PrefixEngine::Candidate> batch;
+          std::vector<std::size_t> batch_gains;
+          for (std::size_t b = begin; b < end; ++b) {
+            batch.clear();
+            for (std::size_t j = starts[b]; j < starts[b + 1]; ++j) {
+              const std::size_t c = eligible[batched[j]];
+              batch.push_back({&pool[c], &pool_traces[c]});
+            }
+            batch_gains.resize(batch.size());
+            engine.batch_gains(batch.data(), batch.size(),
+                               batch_gains.data());
+            for (std::size_t k = 0; k < batch.size(); ++k) {
+              gains[batched[starts[b] + k]] = batch_gains[k];
+            }
           }
         });
 
@@ -250,34 +265,32 @@ GenerationResult generate_march_test(const FaultList& list,
                         " faults before certification");
   }
 
+  // Only faults certification must still discharge are instantiated here:
+  // faults phase A already reported uncoverable are out of scope, and the
+  // static prefilter's faults need no simulation (a Detected verdict implies
+  // at least one instance at the certify size).  The whole certify-size set
+  // is built once, by the final report, and the instance counts come from
+  // it.
   std::vector<FaultInstance> cert_instances;
-  std::vector<std::uint8_t> instantiable(fault_count(list), 0);
-  for (FaultInstance& instance : instantiate_all(
-           list, options.certify_memory_size,
-           options.max_instances_per_fault)) {
-    ++stats.certify_instances;
-    instantiable[instance.fault_index] = 1;
-    // Faults phase A already reported uncoverable are out of scope — skip
-    // them before paying their full-prefix simulation.
-    if (uncoverable.count(instance.fault_index) > 0) continue;
-    if (static_resolved[instance.fault_index] != 0) {
-      ++stats.static_skipped_instances;
-      continue;
-    }
-    cert_instances.push_back(std::move(instance));
-  }
-  // Faults with no instance at the certify size cannot be certified there
-  // at all (e.g. a decoder fault on an address line the certify memory does
-  // not have, 2^bit >= n): report them out of scope instead of letting the
-  // final coverage report silently fail on them.
-  for (std::size_t f = 0; f < instantiable.size(); ++f) {
-    if (instantiable[f] == 0 && uncoverable.count(f) == 0) {
+  for (std::size_t f = 0; f < fault_count(list); ++f) {
+    if (uncoverable.count(f) > 0 || static_resolved[f] != 0) continue;
+    std::vector<FaultInstance> instances =
+        instantiate_fault(list, f, options.certify_memory_size,
+                          options.max_instances_per_fault);
+    if (instances.empty()) {
+      // No instance at the certify size: the fault cannot be certified
+      // there at all (e.g. a decoder fault on an address line the certify
+      // memory does not have, 2^bit >= n).  Report it out of scope instead
+      // of letting the final coverage report silently fail on it.
       uncoverable.insert(f);
       stats.log.push_back(
           "fault '" + fault_name(list, f) + "' has no instances at n=" +
           std::to_string(options.certify_memory_size) +
           "; out of certification scope");
+      continue;
     }
+    std::move(instances.begin(), instances.end(),
+              std::back_inserter(cert_instances));
   }
   PrefixEngine cert_engine(
       options.certify_memory_size, std::move(cert_instances), test,
@@ -370,12 +383,12 @@ GenerationResult generate_march_test(const FaultList& list,
                             " deferred faults lost their Detected verdict; "
                             "re-certifying");
         std::vector<FaultInstance> lost_instances;
-        for (FaultInstance& instance : instantiate_all(
-                 list, options.certify_memory_size,
-                 options.max_instances_per_fault)) {
-          if (lost.count(instance.fault_index) > 0) {
-            lost_instances.push_back(std::move(instance));
-          }
+        for (const std::size_t f : lost) {
+          std::vector<FaultInstance> instances =
+              instantiate_fault(list, f, options.certify_memory_size,
+                                options.max_instances_per_fault);
+          std::move(instances.begin(), instances.end(),
+                    std::back_inserter(lost_instances));
         }
         PrefixEngine lost_engine(
             options.certify_memory_size, std::move(lost_instances), test,
@@ -395,6 +408,12 @@ GenerationResult generate_march_test(const FaultList& list,
       options.certify_memory_size, options.both_power_on_states, 10});
   result.certification = evaluate_coverage(cert_sim, test, list,
                                            options.max_instances_per_fault);
+  for (const CoverageEntry& entry : result.certification.entries) {
+    stats.certify_instances += entry.instances;
+    if (static_resolved[entry.fault_index] != 0) {
+      stats.static_skipped_instances += entry.instances;
+    }
+  }
   result.full_coverage = true;
   for (const CoverageEntry& entry : result.certification.entries) {
     if (uncoverable.count(entry.fault_index) > 0) continue;

@@ -74,8 +74,8 @@ struct GeneratorOptions {
   std::size_t max_instances_per_fault = 0;
   /// Discharge certification statically where the symbolic analyzer
   /// (analysis/static_analyzer.hpp) proves the phase-A test detects a fault:
-  /// its certify-size instances never enter the persistent engine, skipping
-  /// their full-prefix simulation.  Sound by the analyzer's three-way-locked
+  /// its certify-size instances are never built for the persistent engine,
+  /// let alone simulated there.  Sound by the analyzer's three-way-locked
   /// contract (definite verdicts agree with both simulation engines); cell
   /// faults stay covered across the minimizer because their detection
   /// depends only on relative cell order (the minimizer re-checks every

@@ -213,21 +213,29 @@ std::vector<FaultInstance> instantiate(const DecoderFault& fault,
   return result;
 }
 
+std::vector<FaultInstance> instantiate_fault(const FaultList& list,
+                                             std::size_t fault_index,
+                                             std::size_t n,
+                                             std::size_t max_instances) {
+  require(fault_index < fault_count(list), "fault index out of range");
+  if (fault_index < list.simple.size()) {
+    return instantiate(list.simple[fault_index], n, fault_index,
+                       max_instances);
+  }
+  const std::size_t linked = fault_index - list.simple.size();
+  if (linked < list.linked.size()) {
+    return instantiate(list.linked[linked], n, fault_index, max_instances);
+  }
+  return instantiate(list.decoder[linked - list.linked.size()], n,
+                     fault_index, max_instances);
+}
+
 std::vector<FaultInstance> instantiate_all(const FaultList& list,
                                            std::size_t n,
                                            std::size_t max_instances_per_fault) {
   std::vector<FaultInstance> result;
-  std::size_t index = 0;
-  for (const SimpleFault& f : list.simple) {
-    auto instances = instantiate(f, n, index++, max_instances_per_fault);
-    result.insert(result.end(), instances.begin(), instances.end());
-  }
-  for (const LinkedFault& f : list.linked) {
-    auto instances = instantiate(f, n, index++, max_instances_per_fault);
-    result.insert(result.end(), instances.begin(), instances.end());
-  }
-  for (const DecoderFault& f : list.decoder) {
-    auto instances = instantiate(f, n, index++, max_instances_per_fault);
+  for (std::size_t f = 0; f < fault_count(list); ++f) {
+    auto instances = instantiate_fault(list, f, n, max_instances_per_fault);
     result.insert(result.end(), instances.begin(), instances.end());
   }
   return result;

@@ -65,6 +65,14 @@ std::vector<FaultInstance> instantiate(const DecoderFault& fault,
                                        std::size_t n, std::size_t fault_index,
                                        std::size_t max_instances = 0);
 
+/// instantiate() of fault `fault_index` of `list`, numbered as in
+/// instantiate_all (all simple faults, then all linked faults, then all
+/// decoder faults).
+std::vector<FaultInstance> instantiate_fault(const FaultList& list,
+                                             std::size_t fault_index,
+                                             std::size_t n,
+                                             std::size_t max_instances = 0);
+
 /// Instances of every fault in the list; fault_index follows the list order
 /// (all simple faults, then all linked faults, then all decoder faults).
 /// `max_instances_per_fault` applies the per-fault bound described at

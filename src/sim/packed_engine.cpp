@@ -1,7 +1,6 @@
 #include "sim/packed_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/error.hpp"
 
@@ -9,6 +8,11 @@ namespace mtg {
 namespace {
 
 constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+
+/// ElementProgram::Step::kind indices.
+constexpr std::size_t kW0 = static_cast<std::size_t>(SenseOp::W0);
+constexpr std::size_t kW1 = static_cast<std::size_t>(SenseOp::W1);
+constexpr std::size_t kRd = static_cast<std::size_t>(SenseOp::Rd);
 
 /// kAlternating[j]: bit l set ⇔ (l >> j) & 1 — the ⇓-lane pattern of the
 /// j-th ⇕ element for j < 6 (the pattern repeats within every 64-aligned
@@ -34,12 +38,40 @@ ElementTrace compile_element_trace(const MarchElement& element) {
   return trace;
 }
 
+void ElementProgram::add(const MarchElement& element,
+                         const ElementTrace& trace, std::uint64_t lanes) {
+  const std::vector<Op>& ops = element.ops();
+  if (steps.size() < ops.size()) steps.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op op = ops[i];
+    const SenseOp kind = is_read(op)   ? SenseOp::Rd
+                         : is_wait(op) ? SenseOp::Wt
+                         : op == Op::W1 ? SenseOp::W1
+                                        : SenseOp::W0;
+    Step& step = steps[i];
+    step.kind[static_cast<std::size_t>(kind)] |= lanes;
+    step.any |= lanes;
+    if (trace.pre[i] == TraceVal::One) step.expect_one |= lanes;
+    if (trace.pre[i] == TraceVal::Prev) step.expect_entry |= lanes;
+  }
+  if (trace.final_value == TraceVal::One) final_one |= lanes;
+  if (trace.final_value == TraceVal::Prev) final_entry |= lanes;
+}
+
+ElementProgram lower_element(const MarchElement& element,
+                             const ElementTrace& trace) {
+  ElementProgram program;
+  program.add(element, trace, kAllLanes);
+  return program;
+}
+
 CompiledTest compile_march_test(const MarchTest& test) {
   CompiledTest compiled;
-  compiled.traces.reserve(test.elements().size());
+  compiled.programs.reserve(test.elements().size());
   compiled.any_ordinal.reserve(test.elements().size());
   for (const MarchElement& element : test.elements()) {
-    compiled.traces.push_back(compile_element_trace(element));
+    compiled.programs.push_back(
+        lower_element(element, compile_element_trace(element)));
     if (element.order() == AddressOrder::Any) {
       compiled.any_ordinal.push_back(static_cast<int>(compiled.any_count++));
     } else {
@@ -187,10 +219,7 @@ PackedFaultSim::PackedFaultSim(const FaultInstance& instance) {
 
 std::string PackedFaultSim::signature() const {
   // Collapsing-soundness gate: an address-reading machine has no
-  // address-free signature (see the header comment).  The assert backs the
-  // runtime check in assert-enabled builds.
-  assert(address_free() &&
-         "signature() called on an address-reading fault instance");
+  // address-free signature (see the header comment).
   require(address_free(),
           "PackedFaultSim::signature(): address-decoder instances read "
           "absolute addresses and must not be signature-collapsed");
@@ -280,12 +309,17 @@ void PackedFaultSim::power_on(Lanes& lanes, std::uint64_t active,
   rearm_state_faults(lanes, active);
 }
 
-void PackedFaultSim::apply_decoder_op(Lanes& lanes, Op op, std::size_t slot,
-                                      std::uint64_t group,
+void PackedFaultSim::apply_decoder_op(Lanes& lanes,
+                                      const ElementProgram::Step& step,
+                                      std::size_t slot, std::uint64_t op_lanes,
                                       std::uint64_t expected) const {
   // Decoder instances carry no FPs: every deviation is a rerouting of the
   // operation itself, mirroring the scalar FaultyMemory decoder branches.
-  const bool read = is_read(op);
+  const std::uint64_t w0 = op_lanes & step.kind[kW0];
+  const std::uint64_t w1 = op_lanes & step.kind[kW1];
+  const auto write = [&](std::size_t target) {
+    lanes.val[target] = (lanes.val[target] & ~w0) | w1;
+  };
   std::uint64_t out = lanes.val[slot];
   if (slot == decoder_a_slot_) {
     const std::uint64_t a_val = lanes.val[decoder_a_slot_];
@@ -294,134 +328,89 @@ void PackedFaultSim::apply_decoder_op(Lanes& lanes, Op op, std::size_t slot,
       case DecoderFaultClass::NoAccess:
         // Writes and waits select no cell; reads sense the address-coupled
         // floating line (a constant per instance, not per lane).
-        out = decoder_read_one_ ? ~std::uint64_t{0} : 0;
+        out = decoder_read_one_ ? kAllLanes : 0;
         break;
       case DecoderFaultClass::WrongCell:
         out = v_val;
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
+        write(decoder_v_slot_);
         break;
       case DecoderFaultClass::MultipleCells:
         out = decoder_read_one_ ? (a_val | v_val) : (a_val & v_val);
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_a_slot_] |= group;
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_a_slot_] &= ~group;
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
+        write(decoder_a_slot_);
+        write(decoder_v_slot_);
         break;
       case DecoderFaultClass::MultipleAddresses:
         out = a_val;  // the read path is intact; only writes are redirected
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
+        write(decoder_v_slot_);
         break;
     }
   } else {
-    // The partner cell's own address decodes normally.
-    if (is_write(op)) {
-      if (op == Op::W1) {
-        lanes.val[slot] |= group;
-      } else {
-        lanes.val[slot] &= ~group;
-      }
-    }
+    write(slot);  // the partner cell's own address decodes normally
   }
-  if (read) lanes.detected |= group & (out ^ expected);
+  lanes.detected |= op_lanes & step.kind[kRd] & (out ^ expected);
 }
 
-void PackedFaultSim::apply_op(Lanes& lanes, Op op, std::size_t slot,
-                              std::uint64_t group,
+void PackedFaultSim::apply_op(Lanes& lanes, const ElementProgram::Step& step,
+                              std::size_t slot, std::uint64_t op_lanes,
                               std::uint64_t expected) const {
   if (has_decoder_) {
-    apply_decoder_op(lanes, op, slot, group, expected);
+    apply_decoder_op(lanes, step, slot, op_lanes, expected);
     return;
   }
-  const bool read = is_read(op);
 
-  // 1. Sensitization on the pre-op state (scalar op_matches).  The op kind
-  //    and target address are lane-invariant; only the state condition is a
-  //    per-lane word.  Waits sensitize the retention FPs (SenseOp::Wt) of
-  //    the visited slot, exactly like the scalar machine's wait(address).
-  const SenseOp kind = read ? SenseOp::Rd
-                       : is_wait(op)
-                           ? SenseOp::Wt
-                           : (op == Op::W1 ? SenseOp::W1 : SenseOp::W0);
+  // 1. Sensitization on the pre-op state (scalar op_matches): an FP fires in
+  //    the lanes whose operation at the sensitizing slot is of its kind and
+  //    whose state condition holds.  Waits sensitize the retention FPs
+  //    (SenseOp::Wt) of the visited slot, exactly like the scalar machine's
+  //    wait(address).
   std::array<std::uint64_t, kMaxFps> matched{};
   for (std::size_t i = 0; i < num_fps_; ++i) {
     const Fp& fp = fps_[i];
     if (fp.state_fault || fp.sense_slot != slot) continue;
-    if (fp.sense != kind) continue;
-    matched[i] = group & condition_word(lanes, fp);
+    const std::uint64_t sensed =
+        op_lanes & step.kind[static_cast<std::size_t>(fp.sense)];
+    if (sensed == 0) continue;
+    matched[i] = sensed & condition_word(lanes, fp);
   }
 
   // 2. A read returns the pre-op faulty value unless overridden below.
   std::uint64_t out = lanes.val[slot];
 
-  // 3. Default operation effect (waits leave the content untouched).
-  if (is_write(op)) {
-    if (op == Op::W1) {
-      lanes.val[slot] |= group;
-    } else {
-      lanes.val[slot] &= ~group;
-    }
-  }
+  // 3. Default operation effect (reads and waits leave the content alone).
+  lanes.val[slot] = (lanes.val[slot] & ~(op_lanes & step.kind[kW0])) |
+                    (op_lanes & step.kind[kW1]);
 
   // 4. Fault overrides, in FP order (a later FP overrides an earlier one on
-  //    a shared victim, matching the scalar loop).
+  //    a shared victim, matching the scalar loop).  A read-sensitized FP on
+  //    its victim also overrides the read result; its matched lanes are
+  //    read lanes by step 1.
   std::array<std::uint64_t, kMaxFps> fired{};
   for (std::size_t i = 0; i < num_fps_; ++i) {
     if (matched[i] == 0) continue;
     const Fp& fp = fps_[i];
     lanes.val[fp.v_slot] =
         (lanes.val[fp.v_slot] & ~matched[i]) | (fp.fault_one ? matched[i] : 0);
-    if (read && fp.op_on_victim && fp.v_slot == slot) {
+    if (fp.sense == SenseOp::Rd && fp.op_on_victim && fp.v_slot == slot) {
       out = (out & ~matched[i]) | (fp.read_one ? matched[i] : 0);
     }
     fired[i] = matched[i];
   }
 
   // 5. State faults settle and re-arm.
-  settle_state_faults(lanes, group, fired);
-  rearm_state_faults(lanes, group);
+  settle_state_faults(lanes, op_lanes, fired);
+  rearm_state_faults(lanes, op_lanes);
 
   // 6. Detection: the read mismatches the good machine's value.
-  if (read) lanes.detected |= group & (out ^ expected);
+  lanes.detected |= op_lanes & step.kind[kRd] & (out ^ expected);
 }
 
 std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
-                                          const MarchElement& element,
-                                          const ElementTrace& trace,
+                                          const ElementProgram& program,
                                           std::uint64_t down) const {
   const std::uint64_t before = lanes.detected;
   // `uniform` must stay the element's *entry* value while both sweep groups
   // replay it (TraceVal::Prev refers to the pre-element good machine).
   const std::uint64_t entry_uniform = lanes.uniform;
-  const auto expected_word = [&](TraceVal value) -> std::uint64_t {
-    switch (value) {
-      case TraceVal::Zero:
-        return 0;
-      case TraceVal::One:
-        return ~std::uint64_t{0};
-      case TraceVal::Prev:
-      default:
-        return entry_uniform;
-    }
-  };
-
-  const std::vector<Op>& ops = element.ops();
   const std::uint64_t groups[2] = {lanes.active & ~down, lanes.active & down};
   for (int g = 0; g < 2; ++g) {
     const std::uint64_t group = groups[g];
@@ -429,23 +418,18 @@ std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
     const bool ascending = g == 0;
     for (std::size_t step = 0; step < num_slots_; ++step) {
       const std::size_t slot = ascending ? step : num_slots_ - 1 - step;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        apply_op(lanes, ops[i], slot, group, expected_word(trace.pre[i]));
+      for (const ElementProgram::Step& op : program.steps) {
+        const std::uint64_t op_lanes = group & op.any;
+        if (op_lanes == 0) continue;
+        apply_op(lanes, op, slot, op_lanes,
+                 op.expect_one | (op.expect_entry & entry_uniform));
       }
     }
   }
 
   // The good machine leaves every element uniform.
-  switch (trace.final_value) {
-    case TraceVal::Zero:
-      lanes.uniform = 0;
-      break;
-    case TraceVal::One:
-      lanes.uniform = ~std::uint64_t{0};
-      break;
-    case TraceVal::Prev:
-      break;
-  }
+  lanes.uniform =
+      (entry_uniform & program.final_entry) | program.final_one;
   return lanes.detected & ~before;
 }
 
@@ -466,7 +450,7 @@ PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
     for (std::size_t e = 0; e < test.elements().size(); ++e) {
       const MarchElement& element = test.elements()[e];
       sim.run_element(
-          lanes, element, compiled.traces[e],
+          lanes, compiled.programs[e],
           element_down_word(element, compiled.any_ordinal[e], base, combos));
       // Detection is sticky and monotone: a fully detected block is done.
       if (lanes.detected == lanes.active) break;

@@ -81,6 +81,17 @@
 // compile_march_test() precomputes this trace once per test; every instance,
 // scenario and thread shares it, replacing the scalar path's per-scenario
 // MemoryState good machine with one constant word per read.
+//
+// -- Element programs ---------------------------------------------------------
+//
+// run_element() executes an ElementProgram: per operation position, lane
+// masks of the operation kind and of the read's expected value.  For one
+// element the masks are all lanes or none, so every lane runs the same
+// operations.  Nothing in the per-op rules above needs that: each rule is
+// pointwise per lane, so different lanes may run different elements in
+// lockstep, each masked to its own operations (and to its sweep group, as
+// in (3) above).  The prefix engine uses this to score up to 64 / S
+// candidate elements in one word.
 #pragma once
 
 #include <array>
@@ -114,12 +125,43 @@ struct ElementTrace {
 
 ElementTrace compile_element_trace(const MarchElement& element);
 
-/// A march test compiled for packed execution: per-element good-machine
-/// traces plus the ⇕-element numbering that defines the scenario lanes.
+/// The element program: a march element lowered to per-operation lane
+/// masks, or a *batch* of elements with one lane group each (the prefix
+/// engine's candidate-lane gain scan, sim/prefix_sim.hpp).  steps[i] holds,
+/// for the i-th operation position, the lanes whose element reads, writes 0,
+/// writes 1 or waits there and where each read expects its value from;
+/// lanes whose element is shorter than i + 1 have no operation at step i.
+/// A single element is the case where every mask is all lanes or none.
+struct ElementProgram {
+  struct Step {
+    /// Lanes whose operation is of each kind, indexed by SenseOp (W0, W1,
+    /// Rd, Wt; the None entry stays empty).
+    std::array<std::uint64_t, 5> kind{};
+    std::uint64_t any = 0;           ///< lanes with an operation here
+    std::uint64_t expect_one = 0;    ///< lanes expecting 1 on a read
+    std::uint64_t expect_entry = 0;  ///< lanes expecting the entry value
+  };
+  std::vector<Step> steps;
+  std::uint64_t final_one = 0;    ///< lanes whose element leaves all-1
+  std::uint64_t final_entry = 0;  ///< lanes whose element keeps its entry
+
+  /// Lowers `element` (with its compiled `trace`) into the lanes `lanes`,
+  /// which no element added before may share.
+  void add(const MarchElement& element, const ElementTrace& trace,
+           std::uint64_t lanes);
+};
+
+/// One element lowered into every lane.
+ElementProgram lower_element(const MarchElement& element,
+                             const ElementTrace& trace);
+
+/// A march test compiled for packed execution: per-element programs (the
+/// lowered good-machine traces) plus the ⇕-element numbering that defines
+/// the scenario lanes.
 struct CompiledTest {
-  std::vector<ElementTrace> traces;  ///< one per march element
-  std::vector<int> any_ordinal;      ///< per element: ⇕ ordinal, or -1
-  std::size_t any_count = 0;         ///< number of ⇕ elements
+  std::vector<ElementProgram> programs;  ///< one per march element
+  std::vector<int> any_ordinal;          ///< per element: ⇕ ordinal, or -1
+  std::size_t any_count = 0;             ///< number of ⇕ elements
 };
 
 CompiledTest compile_march_test(const MarchTest& test);
@@ -190,6 +232,7 @@ class PackedFaultSim {
   explicit PackedFaultSim(const FaultInstance& instance);
 
   std::size_t num_slots() const noexcept { return num_slots_; }
+  std::size_t num_fps() const noexcept { return num_fps_; }
   /// Memory address of involved cell `slot` (slots are address-ascending).
   std::size_t slot_address(std::size_t slot) const { return cells_[slot]; }
 
@@ -211,7 +254,7 @@ class PackedFaultSim {
   /// captures.  The prefix engine (sim/prefix_sim.hpp) collapses
   /// equal-signature instances of a fault into one weighted item.
   ///
-  /// Throws (and asserts) unless address_free(): an address-reading
+  /// Throws unless address_free(): an address-reading
   /// instance — today, any decoder fault — has no address-free signature,
   /// and collapsing two of them with equal structure but different
   /// addresses would silently produce wrong weighted counts (e.g. two AF-na
@@ -238,12 +281,11 @@ class PackedFaultSim {
   void power_on_block(Lanes& lanes, std::size_t base, std::size_t total,
                       std::size_t combos, bool both_power_on_states) const;
 
-  /// Replays one march element over every active lane; lanes with their bit
-  /// set in `down` sweep ⇓, the others ⇑.  `trace` must be the element's
-  /// compiled trace and `lanes.uniform` the good machine's entry value.
-  /// Returns the lanes newly detected during this element.
-  std::uint64_t run_element(Lanes& lanes, const MarchElement& element,
-                            const ElementTrace& trace,
+  /// Replays an element program over every active lane; lanes with their
+  /// bit set in `down` sweep ⇓, the others ⇑.  `lanes.uniform` must be the
+  /// good machine's entry value of each lane.  Returns the lanes newly
+  /// detected during the program.
+  std::uint64_t run_element(Lanes& lanes, const ElementProgram& program,
                             std::uint64_t down) const;
 
  private:
@@ -266,15 +308,20 @@ class PackedFaultSim {
   /// states.
   std::uint64_t condition_word(const Lanes& lanes, const Fp& fp) const;
 
-  void apply_op(Lanes& lanes, Op op, std::size_t slot, std::uint64_t group,
+  /// Applies program step `step` at involved cell `slot` in `op_lanes`: the
+  /// lanes of the current sweep group whose element has an operation at
+  /// this step.
+  void apply_op(Lanes& lanes, const ElementProgram::Step& step,
+                std::size_t slot, std::uint64_t op_lanes,
                 std::uint64_t expected) const;
   void settle_state_faults(Lanes& lanes, std::uint64_t group,
                            std::array<std::uint64_t, kMaxFps>& fired) const;
   void rearm_state_faults(Lanes& lanes, std::uint64_t group) const;
 
   /// Decoder-op dispatch of apply_op (has_decoder_ machines only).
-  void apply_decoder_op(Lanes& lanes, Op op, std::size_t slot,
-                        std::uint64_t group, std::uint64_t expected) const;
+  void apply_decoder_op(Lanes& lanes, const ElementProgram::Step& step,
+                        std::size_t slot, std::uint64_t op_lanes,
+                        std::uint64_t expected) const;
 
   std::array<std::size_t, kMaxSlots> cells_{};  ///< involved addresses, asc
   std::size_t num_slots_ = 0;

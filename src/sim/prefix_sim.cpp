@@ -9,6 +9,25 @@
 #include "common/parallel.hpp"
 
 namespace mtg {
+namespace {
+
+/// Set lanes per `width`-lane field of `word` (width a power of two): each
+/// SWAR step adds neighbouring fields, so after log2(width) steps every
+/// field holds its own count.  Widths of 64 and more give the popcount.
+std::uint64_t field_popcounts(std::uint64_t word, std::size_t width) {
+  if (width >= 2) word -= (word >> 1) & 0x5555555555555555ull;
+  if (width >= 4) {
+    word = (word & 0x3333333333333333ull) +
+           ((word >> 2) & 0x3333333333333333ull);
+  }
+  if (width >= 8) word = (word + (word >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  if (width >= 16) word = (word + (word >> 8)) & 0x00FF00FF00FF00FFull;
+  if (width >= 32) word = (word + (word >> 16)) & 0x0000FFFF0000FFFFull;
+  if (width >= 64) word = (word + (word >> 32)) & 0xFFFFFFFFull;
+  return word;
+}
+
+}  // namespace
 
 PrefixEngine::PrefixEngine(std::size_t memory_size, Options options)
     : memory_size_(memory_size), options_(options) {
@@ -43,7 +62,8 @@ bool PrefixEngine::all_detected(
 void PrefixEngine::append_plan(const MarchTest& test, std::size_t from) {
   for (std::size_t e = from; e < test.elements().size(); ++e) {
     const MarchElement& element = test.elements()[e];
-    traces_.push_back(compile_element_trace(element));
+    programs_.push_back(
+        lower_element(element, compile_element_trace(element)));
     std::size_t any = any_before_.back();
     if (element.order() == AddressOrder::Any) {
       ordinals_.push_back(static_cast<int>(any));
@@ -113,7 +133,7 @@ std::size_t PrefixEngine::run_steps(
       // cell values are unobservable).
       if ((lanes.active & ~lanes.detected) == 0) continue;
       item.sim.run_element(
-          lanes, *step.element, *step.trace,
+          lanes, *step.program,
           element_down_word(*step.element, step.ordinal, b * 64, combos));
       if ((lanes.active & ~lanes.detected) != 0) done = false;
     }
@@ -176,7 +196,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
   std::vector<Step> tail;
   tail.reserve(prefix_.elements().size() - common);
   for (std::size_t e = common; e < prefix_.elements().size(); ++e) {
-    tail.push_back(Step{&prefix_.elements()[e], &traces_[e], ordinals_[e]});
+    tail.push_back(Step{&prefix_.elements()[e], &programs_[e], ordinals_[e]});
   }
 
   std::atomic<std::size_t> replays{0}, expansions{0};
@@ -268,16 +288,76 @@ std::size_t PrefixEngine::undetected_scenarios() const {
   return count;
 }
 
+std::size_t PrefixEngine::scenario_lanes() const noexcept {
+  return power_states() << any_before_.back();
+}
+
+std::size_t PrefixEngine::batch_width() const noexcept {
+  return std::max<std::size_t>(1, 64 / scenario_lanes());
+}
+
+void PrefixEngine::batch_gains(const Candidate* candidates, std::size_t count,
+                               std::size_t* gains) const {
+  require(count >= 1 && count <= batch_width(),
+          "prefix engine: candidate batch exceeds one lane word");
+  // Candidate-major lanes: candidate k owns lanes [k·S, (k+1)·S), and lane
+  // k·S + sc replays scenario sc of the item under candidate k.  With
+  // S >= 64 a batch holds one candidate and blocks iterate as usual.
+  const std::size_t width = scenario_lanes();
+  const std::uint64_t group =
+      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  ElementProgram program;
+  std::uint64_t down = 0;    // greedy reading: only fixed ⇓ sweeps down
+  std::uint64_t spread = 0;  // bit k·S per candidate: the broadcast factor
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t lanes = group << (k * width);
+    program.add(*candidates[k].element, *candidates[k].trace, lanes);
+    if (candidates[k].element->order() == AddressOrder::Down) down |= lanes;
+    spread |= std::uint64_t{1} << (k * width);
+  }
+  // Multiplying an S-lane word by `spread` copies it into every candidate
+  // group: the copies occupy disjoint bit ranges, so nothing carries.
+  const auto broadcast = [&](std::uint64_t word) {
+    return (word & group) * spread;
+  };
+
+  std::fill(gains, gains + count, std::size_t{0});
+  for (const Item& item : items_) {
+    if (item.done) continue;
+    for (const PackedFaultSim::Lanes& block : item.blocks) {
+      if ((block.active & ~block.detected) == 0) continue;  // fully detected
+      // Only the item's own slots and FPs are ever read by the kernel.
+      PackedFaultSim::Lanes trial;
+      trial.active = broadcast(block.active);
+      trial.detected = broadcast(block.detected);
+      trial.uniform = broadcast(block.uniform);
+      for (std::size_t s = 0; s < item.sim.num_slots(); ++s) {
+        trial.val[s] = broadcast(block.val[s]);
+      }
+      for (std::size_t f = 0; f < item.sim.num_fps(); ++f) {
+        trial.armed[f] = broadcast(block.armed[f]);
+      }
+      const std::uint64_t newly = item.sim.run_element(trial, program, down);
+      if (newly == 0) continue;
+      const std::uint64_t counts = field_popcounts(newly, width);
+      for (std::size_t k = 0; k < count; ++k) {
+        gains[k] += ((counts >> (k * width)) & group) * item.weight;
+      }
+    }
+  }
+}
+
 void PrefixEngine::commit(const MarchElement& candidate,
                           const ElementTrace& trace) {
   approximate_ = true;
+  const ElementProgram program = lower_element(candidate, trace);
   const std::uint64_t down =
       candidate.order() == AddressOrder::Down ? ~std::uint64_t{0} : 0;
   for (Item& item : items_) {
     if (item.done) continue;
     for (PackedFaultSim::Lanes& block : item.blocks) {
       if ((block.active & ~block.detected) == 0) continue;  // fully detected
-      item.sim.run_element(block, candidate, trace, down);
+      item.sim.run_element(block, program, down);
     }
     item.done = all_detected(item.blocks);
   }
@@ -298,7 +378,7 @@ void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
   require(common == previous_length || options_.record_checkpoints,
           "prefix engine: rewinding an edited test requires checkpoints");
 
-  traces_.resize(common);
+  programs_.resize(common);
   ordinals_.resize(common);
   any_before_.resize(common + 1);
   prefix_ = test;
@@ -313,7 +393,7 @@ PrefixEngine PrefixEngine::clone_undetected() const {
   options.record_checkpoints = false;
   PrefixEngine out(memory_size_, options);
   out.prefix_ = prefix_;
-  out.traces_ = traces_;
+  out.programs_ = programs_;
   out.ordinals_ = ordinals_;
   out.any_before_ = any_before_;
   for (const Item& item : items_) {
@@ -347,18 +427,19 @@ bool PrefixEngine::trial_covers(std::size_t edit,
   // The trial plan: the (optional) replacement of element `edit`, then the
   // recorded tail.  ⇕ ordinals are renumbered for the trial's own scenario
   // space (dropping a ⇕ element shifts the tail's ordinals down).
-  ElementTrace replacement_trace;
+  ElementProgram replacement_program;
   std::vector<Step> plan;
   plan.reserve(prefix_.elements().size() - edit);
   std::size_t any = any_before_[edit];
   if (replacement != nullptr) {
-    replacement_trace = compile_element_trace(*replacement);
+    replacement_program =
+        lower_element(*replacement, compile_element_trace(*replacement));
     int ordinal = -1;
     if (replacement->order() == AddressOrder::Any) {
       ordinal = static_cast<int>(any);
       ++any;
     }
-    plan.push_back(Step{replacement, &replacement_trace, ordinal});
+    plan.push_back(Step{replacement, &replacement_program, ordinal});
   }
   for (std::size_t e = edit + 1; e < prefix_.elements().size(); ++e) {
     const MarchElement& element = prefix_.elements()[e];
@@ -367,7 +448,7 @@ bool PrefixEngine::trial_covers(std::size_t edit,
       ordinal = static_cast<int>(any);
       ++any;
     }
-    plan.push_back(Step{&element, &traces_[e], ordinal});
+    plan.push_back(Step{&element, &programs_[e], ordinal});
   }
 
   Stats local;

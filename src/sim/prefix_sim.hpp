@@ -6,9 +6,31 @@
 // phases:
 //
 //  * Greedy construction (phase A): candidate march elements are scored
-//    incrementally against the tracked prefix state (gain/commit), exactly as
-//    before.  ⇕ candidates are committed in their ⇑ reading — the greedy
+//    incrementally against the tracked prefix state (batch_gains/commit).
+//    ⇕ candidates are scored and committed in their ⇑ reading — the greedy
 //    approximation the certification pass repairs.
+//
+//    Candidate-lane layout: every live item holds S = P · 2^a scenario
+//    lanes (a = ⇕ elements of the prefix; S = 4 for the generator's seed
+//    ⇕(w0)), so one candidate per 64-lane word would leave 64 - S lanes
+//    idle.  batch_gains() packs W = 64 / S candidates per word instead,
+//    candidate-major:
+//
+//        lane = candidate · S + scenario
+//
+//    Each item's S-lane block is replicated into the W candidate groups
+//    with a multiply-broadcast (word · Σ_k 2^(k·S); the copies occupy
+//    disjoint bit ranges, so nothing carries), the W candidates run as one
+//    ElementProgram (sim/packed_engine.hpp: per-op-position lane masks),
+//    and newly detected lanes are counted per group.  When S >= 64 a batch
+//    holds one candidate and each item's blocks iterate as usual — the
+//    same code path.
+//
+//    Every batched gain is exact (no pruning bound, no lower bounds), so
+//    the greedy winner — a sequential pool-order reduction over exact
+//    scores — is the same however candidates are batched or batches are
+//    spread over threads: the generated test is schedule-invariant by
+//    construction.
 //  * Incremental certification (phase B, CEGIS): advance() replays only the
 //    elements appended since the last sync, with *exact* ⇕ resolution — when
 //    the suffix contains a ⇕ element the scenario lanes are expanded in
@@ -114,44 +136,41 @@ class PrefixEngine {
   /// Number of undetected (instance, scenario) pairs.
   std::size_t undetected_scenarios() const;
 
-  /// Gain of appending the candidate: the number of (instance, scenario)
-  /// pairs it newly detects.  Scenario granularity matters: an element can
-  /// make progress on one power-on polarity only (the complementary
-  /// polarity being handled by a later element), which instance-level
-  /// counting would miss and stall on.  ⇕ candidates are evaluated in their
-  /// ⇑ reading (as the scalar engine did); certification re-resolves ⇕
-  /// orders exactly.
-  ///
-  /// `remaining_start` is undetected_scenarios() — hoisted to the caller
-  /// because it is identical for every candidate of a gain scan and O(items)
-  /// to recompute.  `abort_below(g, remaining)` lets the caller prune
-  /// hopeless candidates: it receives the gain so far and the number of
-  /// unscanned scenarios and returns true to abandon the evaluation (the
-  /// result is then a lower bound).
+  /// A candidate march element and its compiled trace.
+  struct Candidate {
+    const MarchElement* element = nullptr;
+    const ElementTrace* trace = nullptr;
+  };
+
+  /// Scenario lanes S of every live item: P · 2^(⇕ elements of the prefix).
+  std::size_t scenario_lanes() const noexcept;
+
+  /// Candidates one batch_gains() call scores per lane word: 64 / S, or 1
+  /// once an item's scenarios fill whole words (S >= 64).
+  std::size_t batch_width() const noexcept;
+
+  /// Exact gains of `count` (1..batch_width()) candidates, written to
+  /// gains[0, count): gains[k] is the number of (instance, scenario) pairs
+  /// candidate k newly detects, weighted like every engine count.  Scenario
+  /// granularity matters: an element can make progress on one power-on
+  /// polarity only (the complementary polarity being handled by a later
+  /// element), which instance-level counting would miss and stall on.  ⇕
+  /// candidates are evaluated in their ⇑ reading (as the scalar engine
+  /// did); certification re-resolves ⇕ orders exactly.  See the file
+  /// comment for the candidate-major lane layout.
+  void batch_gains(const Candidate* candidates, std::size_t count,
+                   std::size_t* gains) const;
+
+  /// Exact gain of one candidate: batch_gains() on a one-candidate batch.
+  /// The scenario count and the abort callback of the former pruning scan
+  /// are accepted for its callers and unused: the result is always exact.
   template <typename AbortFn>
   std::size_t gain(const MarchElement& candidate, const ElementTrace& trace,
-                   std::size_t remaining_start, AbortFn abort_below) const {
-    const std::uint64_t down =
-        candidate.order() == AddressOrder::Down ? ~std::uint64_t{0} : 0;
+                   std::size_t /*remaining_start*/,
+                   AbortFn /*abort_below*/) const {
+    const Candidate one{&candidate, &trace};
     std::size_t g = 0;
-    std::size_t remaining = remaining_start;
-    for (const Item& item : items_) {
-      if (item.done) continue;
-      for (const PackedFaultSim::Lanes& block : item.blocks) {
-        const std::size_t undetected =
-            lane_popcount(block.active & ~block.detected);
-        if (undetected == 0) continue;
-        remaining -= undetected * item.weight;
-        PackedFaultSim::Lanes trial = block;  // plain-data copy
-        const std::size_t newly = lane_popcount(
-            item.sim.run_element(trial, candidate, trace, down));
-        g += newly * item.weight;
-        // Match the scalar engine's abort placement: only after a failure.
-        // A candidate that detects everything must return its exact gain,
-        // or it could lose the score-tie g tie-break it deserves to win.
-        if (newly < undetected && abort_below(g, remaining)) return g;
-      }
-    }
+    batch_gains(&one, 1, &g);
     return g;
   }
 
@@ -231,11 +250,11 @@ class PrefixEngine {
     std::vector<std::vector<PackedFaultSim::Lanes>> checkpoints;
   };
 
-  /// One element of a replay plan: the element, its compiled trace, and its
-  /// ⇕ ordinal (-1 for fixed orders) in the plan's scenario numbering.
+  /// One element of a replay plan: the element, its program, and its ⇕
+  /// ordinal (-1 for fixed orders) in the plan's scenario numbering.
   struct Step {
     const MarchElement* element = nullptr;
-    const ElementTrace* trace = nullptr;
+    const ElementProgram* program = nullptr;
     int ordinal = -1;
   };
 
@@ -271,7 +290,7 @@ class PrefixEngine {
   void initialize(const std::vector<FaultInstance>& instances,
                   const MarchTest& prefix, ThreadPool* pool);
 
-  /// Appends bookkeeping (trace, ordinal) for the elements of test[from..].
+  /// Appends bookkeeping (program, ordinal) for the elements of test[from..].
   void append_plan(const MarchTest& test, std::size_t from);
 
   /// Shared advance/rewind core: re-syncs every live item from element
@@ -286,7 +305,7 @@ class PrefixEngine {
   bool approximate_ = false;  ///< a commit() happened; exact APIs refuse
 
   MarchTest prefix_;
-  std::vector<ElementTrace> traces_;  ///< per prefix element
+  std::vector<ElementProgram> programs_;  ///< per prefix element
   std::vector<int> ordinals_;         ///< per prefix element: ⇕ ordinal or -1
   std::vector<std::size_t> any_before_;  ///< #⇕ in elements [0, e), e ≤ size
 

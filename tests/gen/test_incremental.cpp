@@ -101,9 +101,8 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
 TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
   // gain_threads parallelizes the greedy candidate scan, certify_threads
   // the persistent certification engine's item sync; both must keep the
-  // generated test byte-identical (per-worker pruning only abandons losing
-  // candidates, and certification items are independent with in-order
-  // reductions).
+  // generated test byte-identical (every batched gain is exact, and
+  // certification items are independent with in-order reductions).
   for (const char* name : {"list2", "simple", "retention"}) {
     const FaultList list = list_by_name(name);
     GeneratorOptions sequential;
@@ -135,6 +134,38 @@ TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
             "{c(w0); ^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
             "v(r1,w1,r1,w0); ^(r0); ^(w0); ^(r0,w0,r0,r0,w1); "
             "^(r1,w0,w0,w1); ^(r1); v(r1,w0,r0,w1); ^(r1)}");
+}
+
+TEST(IncrementalGenerator, ElementLengthSevenMatchesGoldens) {
+  // Captured from the per-candidate pruning gain scan that the
+  // candidate-lane batch scan replaced.  Length 7 grows the pool to 5,648
+  // candidates (elements of up to 7 ops share a lane word with shorter
+  // ones); 3 gain threads split the batches unevenly across workers.
+  GeneratorOptions options;
+  options.max_element_length = 7;
+  for (const std::size_t gain_threads : {1, 2, 3, 4}) {
+    options.gain_threads = gain_threads;
+    for (const std::size_t certify_threads : {1, 3}) {
+      options.certify_threads = certify_threads;
+      const GenerationResult result =
+          generate_march_test(list_by_name("list2"), options);
+      EXPECT_EQ(result.test.to_string(true),
+                "{c(w0); ^(r0); ^(r0); ^(w1,r1); ^(r1); ^(w1,r1)}")
+          << "gain_threads=" << gain_threads
+          << " certify_threads=" << certify_threads;
+      EXPECT_TRUE(result.full_coverage);
+      EXPECT_EQ(result.stats.candidate_pool, 5648u);
+    }
+  }
+  options.gain_threads = 3;
+  options.certify_threads = 0;
+  EXPECT_EQ(generate_march_test(list_by_name("retention"), options)
+                .test.to_string(true),
+            "{c(w0); ^(w1,t); ^(t,r1,w0); ^(t,r0,w1); ^(w0,t,r0)}");
+  options.both_power_on_states = false;  // S = 2: 32 candidates per word
+  EXPECT_EQ(generate_march_test(list_by_name("list2"), options)
+                .test.to_string(true),
+            "{c(w0); ^(r0); ^(r0); ^(w1,r1); ^(r1); ^(w0,r0)}");
 }
 
 TEST(IncrementalMinimizer, MatchesFromScratchRescanReference) {

@@ -12,6 +12,12 @@ struct PublishedComplexity {
   std::size_t complexity;
 };
 
+// Without this, gtest prints the parameter as raw bytes, so the listed test
+// names carry the address of `name` and change with the binary's layout.
+void PrintTo(const PublishedComplexity& value, std::ostream* os) {
+  *os << value.name << ' ' << value.complexity << 'n';
+}
+
 class CatalogComplexity
     : public ::testing::TestWithParam<PublishedComplexity> {};
 

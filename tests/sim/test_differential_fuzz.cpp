@@ -415,6 +415,119 @@ TEST(DifferentialFuzz, PrefixEngineCheckpointRestoreMatchesSimulator) {
   }
 }
 
+/// A random march element: 1..6 ops (waits included), random order.
+MarchElement random_element(Rng& rng, bool allow_any) {
+  static const Op kOps[] = {Op::W0, Op::W1, Op::R0, Op::R1, Op::R, Op::T};
+  static const AddressOrder kOrders[] = {AddressOrder::Up, AddressOrder::Down,
+                                         AddressOrder::Any};
+  const AddressOrder order = kOrders[rng.below(allow_any ? 3 : 2)];
+  std::vector<Op> ops(1 + rng.below(6));
+  for (Op& op : ops) op = kOps[rng.below(6)];
+  return MarchElement(order, std::move(ops));
+}
+
+/// `element` as the greedy gain scan reads it: ⇕ runs ⇑.
+MarchElement greedy_reading(const MarchElement& element) {
+  return element.order() == AddressOrder::Any
+             ? MarchElement(AddressOrder::Up, element.ops())
+             : element;
+}
+
+TEST(DifferentialFuzz, BatchedGainsMatchScalarScenarioCounts) {
+  // Random prefix (up to six ⇕ elements, so the scenario lanes S span 1 to
+  // 128 and a batch packs 64 / S candidates, or one candidate over two
+  // blocks), random greedy commits and a random candidate batch: each
+  // batched gain must equal the number of (instance, scenario) pairs the
+  // scalar machine detects with the candidate appended but not without it.
+  // Commits and candidates run in the greedy reading (⇕ as ⇑).
+  const std::vector<FaultPrimitive> fps = all_fps();
+  std::vector<LinkedFault> linked = enumerate_single_cell_linked_faults();
+  {
+    std::vector<LinkedFault> two = enumerate_two_cell_linked_faults();
+    linked.insert(linked.end(), two.begin(), two.end());
+  }
+
+  const std::uint64_t base_seed = env_u64("MTG_FUZZ_SEED", 0);
+  const bool replay_single = std::getenv("MTG_FUZZ_SEED") != nullptr;
+  const std::uint64_t cases =
+      replay_single ? 1 : env_u64("MTG_FUZZ_CASES", 1500) / 3;
+
+  std::size_t failures = 0;
+  for (std::uint64_t i = 0; i < cases && failures < 3; ++i) {
+    const std::uint64_t seed = replay_single ? base_seed : 0xBA7Cu + i;
+    Rng rng(seed);
+    const std::size_t n = 3 + rng.below(4);
+    const bool both = rng.coin();
+    std::vector<MarchElement> elements;
+    std::size_t any_count = 0;
+    for (std::size_t e = 1 + rng.below(7); e > 0; --e) {
+      elements.push_back(random_element(rng, any_count < 6));
+      if (elements.back().order() == AddressOrder::Any) ++any_count;
+    }
+    const MarchTest prefix("prefix", elements);
+    std::vector<FaultInstance> instances;
+    for (std::size_t k = 1 + rng.below(3); k > 0; --k) {
+      const std::size_t kind = rng.below(3);
+      instances.push_back(kind == 0   ? random_binding(rng, n, fps)
+                          : kind == 1 ? random_linked_instance(rng, n, linked)
+                                      : random_decoder_instance(rng, n));
+    }
+
+    PrefixEngine engine(n, &instances, prefix,
+                        PrefixEngine::Options{both, false});
+    MarchTest before("before", elements);
+    for (std::size_t k = rng.below(3); k > 0; --k) {
+      const MarchElement commit = random_element(rng, true);
+      engine.commit(commit, compile_element_trace(commit));
+      before.append(greedy_reading(commit));
+    }
+    std::vector<MarchElement> candidates;
+    for (std::size_t k = 1 + rng.below(engine.batch_width()); k > 0; --k) {
+      candidates.push_back(random_element(rng, true));
+    }
+    std::vector<ElementTrace> traces;
+    std::vector<PrefixEngine::Candidate> batch;
+    for (const MarchElement& candidate : candidates) {
+      traces.push_back(compile_element_trace(candidate));
+    }
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+      batch.push_back({&candidates[k], &traces[k]});
+    }
+    std::vector<std::size_t> gains(candidates.size());
+    engine.batch_gains(batch.data(), batch.size(), gains.data());
+
+    const FaultSimulator scalar(SimulatorOptions{n, both, 10});
+    const std::size_t combos = std::size_t{1} << any_count;
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+      MarchTest after = before;
+      after.append(greedy_reading(candidates[k]));
+      std::size_t expected = 0;
+      for (const FaultInstance& instance : instances) {
+        for (const Bit power_on : {Bit::Zero, Bit::One}) {
+          if (power_on == Bit::One && !both) continue;
+          for (std::size_t mask = 0; mask < combos; ++mask) {
+            expected +=
+                scalar.run_scenario(after, instance, power_on, mask) &&
+                !scalar.run_scenario(before, instance, power_on, mask);
+          }
+        }
+      }
+      if (gains[k] != expected) {
+        ADD_FAILURE() << "batched gain diverges from the scalar count\n"
+                      << "seed " << seed << " (replay: MTG_FUZZ_SEED=" << seed
+                      << ")\n  n = " << n << ", both_power_on_states = "
+                      << both << "\n  prefix + commits: "
+                      << before.to_string(true) << "\n  candidate " << k
+                      << " of " << candidates.size() << ": "
+                      << candidates[k].to_string(true) << "\n  batched "
+                      << gains[k] << ", scalar " << expected;
+        ++failures;
+        break;
+      }
+    }
+  }
+}
+
 TEST(DifferentialFuzz, SubsumptionVerdictsMatchPackedCoverageContainment) {
   // Random test-pair subsumption sweep: a definite prover verdict must
   // match full packed coverage (cap 0 — capped sampling would break the

@@ -227,20 +227,30 @@ TEST(PackedEngine, CompiledTraceTracksGoodMachine) {
   const MarchTest test =
       parse_march_test("{c(w0); ^(r0,w1,r1,w0); v(r0)}", "trace");
   const CompiledTest compiled = compile_march_test(test);
-  ASSERT_EQ(compiled.traces.size(), 3u);
+  ASSERT_EQ(compiled.programs.size(), 3u);
   EXPECT_EQ(compiled.any_count, 1u);
   EXPECT_EQ(compiled.any_ordinal[0], 0);
   EXPECT_EQ(compiled.any_ordinal[1], -1);
   // Element 1 = (r0,w1,r1,w0): the trace is symbolic per element, so the
   // ops before the first write expect the previous element's uniform value.
-  const ElementTrace& trace = compiled.traces[1];
+  const ElementTrace trace = compile_element_trace(test.elements()[1]);
   EXPECT_EQ(trace.pre[0], TraceVal::Prev);
   EXPECT_EQ(trace.pre[1], TraceVal::Prev);
   EXPECT_EQ(trace.pre[2], TraceVal::One);
   EXPECT_EQ(trace.pre[3], TraceVal::One);
   EXPECT_EQ(trace.final_value, TraceVal::Zero);
   // First element: reads before any write expect the power-on value.
-  EXPECT_EQ(compiled.traces[0].pre[0], TraceVal::Prev);
+  EXPECT_EQ(compile_element_trace(test.elements()[0]).pre[0], TraceVal::Prev);
+  // The compiled program lowers that trace into every lane.
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  const ElementProgram& program = compiled.programs[1];
+  ASSERT_EQ(program.steps.size(), 4u);
+  EXPECT_EQ(program.steps[0].expect_entry, kAll);
+  EXPECT_EQ(program.steps[2].expect_one, kAll);
+  EXPECT_EQ(program.steps[2].expect_entry, 0u);
+  EXPECT_EQ(program.steps[1].kind[static_cast<std::size_t>(SenseOp::W1)],
+            kAll);
+  EXPECT_EQ(program.final_one | program.final_entry, 0u);
 }
 
 }  // namespace
